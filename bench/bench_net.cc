@@ -45,7 +45,9 @@ net::CreateSessionRequest BenchSession(std::size_t stride) {
 
 // One slide per iteration over the loopback socket, drained whenever the
 // admission bound pushes back — so the measured rate includes the real
-// backpressure protocol, not an unbounded queue. Args: {lanes, stride}.
+// backpressure protocol, not an unbounded queue. Rates divide by wall time:
+// the client thread mostly waits on the socket, so its CPU time would
+// overstate throughput many times over. Args: {lanes, stride}.
 void BM_IngestThroughput(benchmark::State& state) {
   const auto lanes = static_cast<std::uint32_t>(state.range(0));
   const auto stride = static_cast<std::size_t>(state.range(1));
@@ -103,6 +105,7 @@ BENCHMARK(BM_IngestThroughput)
     ->Args({2, 200})
     ->Args({4, 200})
     ->Args({2, 1000})
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_WireEncodeFeedSlide(benchmark::State& state) {

@@ -102,6 +102,7 @@ bool SendAllBytes(int fd, const void* data, std::size_t size) {
   std::size_t sent = 0;
   while (sent < size) {
     const ssize_t n = ::send(fd, bytes + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;  // A signal, not a dead peer.
     if (n <= 0) return false;  // Peer went away; nothing useful to do.
     sent += static_cast<std::size_t>(n);
   }
@@ -113,6 +114,7 @@ std::size_t RecvFully(int fd, void* data, std::size_t size) {
   std::size_t got = 0;
   while (got < size) {
     const ssize_t n = ::recv(fd, bytes + got, size - got, 0);
+    if (n < 0 && errno == EINTR) continue;  // A signal, not a dead peer.
     if (n <= 0) break;  // EOF, reset, or timeout: report the torn count.
     got += static_cast<std::size_t>(n);
   }

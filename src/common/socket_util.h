@@ -65,12 +65,13 @@ Status OpenTcpListener(const std::string& bind_address, std::uint16_t port,
 // peer can never wedge a worker lane indefinitely.
 void SetIoTimeouts(int fd, int seconds);
 
-// Writes all `size` bytes with MSG_NOSIGNAL, looping over short writes.
-// Returns false when the peer went away mid-send (nothing useful to do
-// beyond reporting).
+// Writes all `size` bytes with MSG_NOSIGNAL, looping over short writes
+// and retrying a send a signal interrupted (EINTR). Returns false when the
+// peer went away mid-send (nothing useful to do beyond reporting).
 bool SendAllBytes(int fd, const void* data, std::size_t size);
 
-// Reads exactly `size` bytes, looping over short reads. Returns the byte
+// Reads exactly `size` bytes, looping over short reads and retrying a recv
+// a signal interrupted (EINTR). Returns the byte
 // count actually read: `size` on success, 0 on a clean EOF before any
 // byte, and anything in between when the stream ended (or timed out)
 // mid-read — the torn-frame case framed protocols must report.

@@ -1,15 +1,12 @@
 #ifndef DISC_CORE_DISC_H_
 #define DISC_CORE_DISC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,13 +40,11 @@ namespace disc {
 // R-tree (Alg. 4) — can be toggled independently through DiscConfig; the
 // produced clustering is identical either way.
 //
-// With DiscConfig::parallel_cluster (the default) the CLUSTER step's two
-// traversal-heavy passes run their probes on the COLLECT thread pool:
-// MS-BFS expands level-synchronous rounds of tick-free probes and merges
-// fronts under a deterministic min-starter rule, and neo-core closures run
-// as speculative concurrent discoveries committed sequentially in seed
-// order (docs/ALGORITHM.md §4.6). Snapshots, checkpoints, deltas, and
-// events are bit-identical for every num_threads value.
+// COLLECT's probes fan out across DiscConfig::num_threads lanes; CLUSTER
+// runs on the calling thread, where MS-BFS stops as soon as one search is
+// left and epoch probing walks each index region once per traversal.
+// Snapshots, checkpoints, deltas, and events are bit-identical for every
+// num_threads value.
 //
 // The resulting labeling equals what DBSCAN computes from scratch on the
 // window contents (up to cluster-id renaming and the usual DBSCAN tie on
@@ -203,61 +198,17 @@ class Disc : public StreamClusterer {
   int CheckConnectivity(const std::vector<PointId>& m_minus, ClusterId old_cid);
 
   // Connectivity checks. *survivor_rep receives a core id inside the
-  // component that kept its labels (the early-exit survivor). MsBfs
-  // dispatches on config_.parallel_cluster between the strided (parallel
-  // probes, min-starter merges) and the original interleaved (epoch-probed)
-  // implementation; both are Algorithm 3, and both are deterministic, but
-  // their cluster-id assignments can differ from each other.
+  // component that kept its labels (the early-exit survivor). MsBfs is
+  // Algorithm 3: the starters' searches expand round-robin, one epoch-probed
+  // expansion each, until a single search is left.
   int MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep);
-  int MsBfsStrided(const std::vector<PointId>& m_minus, PointId* survivor_rep);
-  int MsBfsInterleaved(const std::vector<PointId>& m_minus,
-                       PointId* survivor_rep);
   int SequentialBfs(const std::vector<PointId>& m_minus,
                     PointId* survivor_rep);
 
-  // Fans one tick-free eps-range probe per non-null center out across the
-  // pool — the CLUSTER-side sibling of FanOutProbes (inline when the pool is
-  // absent or the batch is smaller than parallel_cluster_min_batch; the
-  // candidate lists are identical either way). No epoch ticks are taken, so
-  // any number of these probes may run concurrently against the frozen tree.
-  void FanOutClusterProbes(const std::vector<const Point*>& centers,
-                           std::vector<std::vector<PointId>>* hits);
-
   // Neo-core phase of CLUSTER: one nascent-reachability closure + label
-  // inspection per unprocessed neo-core. ProcessNeoCores dispatches on
-  // config_.parallel_cluster between the speculative concurrent path and
-  // the original sequential group loop; their outputs are bit-identical
-  // (see ProcessNeoCoresParallel).
+  // inspection per unprocessed neo-core.
   void ProcessNeoCores(const std::vector<PointId>& neo_cores);
   void ProcessNeoGroup(PointId seed);
-
-  // Result of one speculative neo-core discovery: a read-only BFS that
-  // records everything the sequential traversal would have written, so the
-  // commit step can replay it. `raw_cids` keeps the *uncanonicalized*
-  // cluster handles of the M+ members in encounter order — canonicalization
-  // is deferred to commit time, where the registry is in exactly the state
-  // the sequential algorithm's traversal would have observed.
-  struct NeoDiscovery {
-    std::vector<PointId> group;  // Neo-cores of the component, BFS order.
-    std::vector<std::pair<PointId, PointId>> borders;  // (non-core, witness).
-    std::vector<ClusterId> raw_cids;
-    RTreeStats stats;  // This discovery's probe counters.
-    bool aborted = false;
-  };
-
-  // Parallel neo phase: every neo-core starts a NeoDiscoveryWorker on the
-  // pool; workers race claims through an atomic CAS-min table so that the
-  // smallest seed of each nascent-reachable component always completes its
-  // discovery while larger seeds abort early. Completed discoveries are then
-  // committed sequentially in seed order (duplicates and aborts discarded),
-  // which makes labels, events, deltas, and the registry evolve exactly as
-  // under the sequential loop — for any lane count, including zero workers.
-  void ProcessNeoCoresParallel(const std::vector<PointId>& neo_cores);
-  void NeoDiscoveryWorker(
-      std::uint32_t seed_idx, const std::vector<PointId>& neo_cores,
-      const std::unordered_map<PointId, std::uint32_t>& seed_index,
-      std::vector<std::atomic<std::uint32_t>>* claims, NeoDiscovery* out);
-  void CommitNeoGroup(const NeoDiscovery& d);
 
   // Final pass of Sec. V: refreshes the category/cid of non-core points
   // whose adjacent core set may have changed.
@@ -274,7 +225,7 @@ class Disc : public StreamClusterer {
 
   Record& GetRecord(PointId id);
 
-  // The pool the parallel stages fan out on: the external pool when one is
+  // The pool COLLECT's probes fan out on: the external pool when one is
   // installed (even if null — that means "run inline"), else the internal
   // config-owned pool.
   ThreadPool* execution_pool() const {

@@ -3,11 +3,8 @@
 // label recheck pass of Section V.
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
-#include <limits>
 
-#include "common/timer.h"
 #include "core/disc.h"
 #include "obs/trace.h"
 
@@ -163,12 +160,6 @@ struct MsThread {
 }  // namespace
 
 int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
-  return config_.parallel_cluster ? MsBfsStrided(m_minus, survivor_rep)
-                                  : MsBfsInterleaved(m_minus, survivor_rep);
-}
-
-int Disc::MsBfsInterleaved(const std::vector<PointId>& m_minus,
-                           PointId* survivor_rep) {
   obs::TraceSpan span("disc.msbfs", obs::TraceLevel::kDetail);
   span.AddArg("starters", m_minus.size());
   const std::uint64_t expansions_before = metrics_.msbfs_expansions;
@@ -316,224 +307,6 @@ int Disc::MsBfsInterleaved(const std::vector<PointId>& m_minus,
 }
 
 // ---------------------------------------------------------------------------
-// Strided MS-BFS: level-synchronous rounds with parallel tick-free probes
-// ---------------------------------------------------------------------------
-
-void Disc::FanOutClusterProbes(const std::vector<const Point*>& centers,
-                               std::vector<std::vector<PointId>>* hits) {
-  hits->assign(centers.size(), {});
-  ThreadPool* pool = centers.size() >= config_.parallel_cluster_min_batch
-                         ? execution_pool()
-                         : nullptr;
-  const std::size_t lanes = pool ? pool->lanes() : 1;
-  std::vector<RTreeStats> lane_stats(lanes);
-  Timer timer;
-  {
-    RTree::ConcurrentProbeScope probe_scope(tree_);
-    ParallelFor(pool, centers.size(), [&](std::size_t lane, std::size_t i) {
-      if (centers[i] == nullptr) return;
-      std::vector<PointId>& out = (*hits)[i];
-      tree_.RangeSearch(
-          *centers[i], config_.eps,
-          [&out](PointId qid, const Point&) { out.push_back(qid); },
-          &lane_stats[lane]);
-    });
-  }
-  metrics_.cluster_parallel_ms += timer.ElapsedMillis();
-  for (const RTreeStats& s : lane_stats) tree_.stats().MergeFrom(s);
-}
-
-// The parallel MS-BFS. Structurally the same search as MsBfsInterleaved —
-// union-find over starters, one popped queue head per live search per round,
-// drains detach completed components — but the round's probes all run first
-// (tick-free, fanned out across lanes via FanOutClusterProbes), and their
-// hit lists are then applied to the live state sequentially in round order.
-// Two consequences:
-//  * Determinism by construction: every state mutation is a pure function
-//    of the hit lists, which depend only on the frozen tree — not on lane
-//    count or timing. A front meet is detected when an applied hit finds a
-//    core already claimed by a different root, and the min-starter merge
-//    rule (smaller starter index absorbs the larger) fixes the surviving
-//    search independently of discovery order.
-//  * Tick-free re-visits are no-ops: a probe may re-deliver an already
-//    claimed core or recorded non-core that epoch marking would have
-//    pruned, but the visit_serial guards make every such application a
-//    no-op (the only live effect, the claimed-by-other merge check, fires
-//    identically — both owners were already unified when the edge was first
-//    seen from its earlier-expanded endpoint).
-int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
-                       PointId* survivor_rep) {
-  obs::TraceSpan span("disc.msbfs", obs::TraceLevel::kDetail);
-  span.AddArg("starters", m_minus.size());
-  const std::uint64_t expansions_before = metrics_.msbfs_expansions;
-  const std::uint64_t serial = ++search_serial_;
-  const std::size_t k = m_minus.size();
-
-  std::vector<std::uint32_t> parent(k);
-  for (std::size_t i = 0; i < k; ++i) parent[i] = static_cast<std::uint32_t>(i);
-  auto find_root = [&](std::uint32_t i) {
-    std::uint32_t root = i;
-    while (parent[root] != root) root = parent[root];
-    while (parent[i] != root) {
-      const std::uint32_t next = parent[i];
-      parent[i] = root;
-      i = next;
-    }
-    return root;
-  };
-
-  std::vector<MsThread> threads(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    Record& rec = GetRecord(m_minus[i]);
-    rec.visit_serial = serial;
-    rec.owner = static_cast<std::uint32_t>(i);
-    threads[i].queue.push_back(m_minus[i]);
-    threads[i].cores.push_back(m_minus[i]);
-  }
-
-  std::size_t active_count = k;
-  auto merge_threads = [&](std::uint32_t a, std::uint32_t b) {
-    // Pre: a and b are distinct roots. Min-starter rule: the smaller starter
-    // index absorbs the larger, so the merged search's identity never
-    // depends on which round or probe discovered the meet.
-    if (b < a) std::swap(a, b);
-    MsThread& ta = threads[a];
-    MsThread& tb = threads[b];
-    ta.queue.insert(ta.queue.end(), tb.queue.begin(), tb.queue.end());
-    ta.cores.insert(ta.cores.end(), tb.cores.begin(), tb.cores.end());
-    ta.borders.insert(ta.borders.end(), tb.borders.begin(), tb.borders.end());
-    tb = MsThread{};
-    parent[b] = a;
-    --active_count;
-  };
-
-  std::vector<std::uint32_t> active;
-  active.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    active.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  int drained = 0;
-  std::uint64_t rounds = 0;
-  // Round scratch, reused across iterations.
-  std::vector<std::uint32_t> batch_roots;
-  std::vector<PointId> batch_ids;
-  std::vector<const Point*> batch_centers;
-  std::vector<std::vector<PointId>> batch_hits;
-
-  while (active_count > 1) {
-    obs::TraceSpan round_span("disc.msbfs.round", obs::TraceLevel::kDetail);
-    ++rounds;
-    // Build the round: pop one queue head per live search, in rotation
-    // order, draining any search whose component is complete (exactly the
-    // per-visit bookkeeping of the interleaved loop; merges cannot happen
-    // here — they only fire while hits are applied).
-    batch_roots.clear();
-    batch_ids.clear();
-    for (std::size_t idx = 0; idx < active.size() && active_count > 1;) {
-      const std::uint32_t root = active[idx];
-      if (find_root(root) != root) {
-        active[idx] = active.back();
-        active.pop_back();
-        continue;
-      }
-      MsThread& th = threads[root];
-      if (th.queue.empty()) {
-        // Component complete: detach it under a fresh cluster id.
-        const ClusterId fresh = registry_.NewCluster();
-        for (PointId cp : th.cores) {
-          Record& rc = GetRecord(cp);
-          SetLabel(cp, &rc, Category::kCore, fresh);
-        }
-        for (PointId bp : th.borders) {
-          Record& rb = GetRecord(bp);
-          if (rb.deleted || IsCoreNow(rb)) continue;
-          SetLabel(bp, &rb, Category::kBorder, fresh);
-          // Re-validated in the recheck pass; see MsBfsInterleaved.
-          AddRecheck(bp, &rb);
-        }
-        th = MsThread{};  // Distinguishes drained roots from the survivor.
-        ++drained;
-        --active_count;
-        active[idx] = active.back();
-        active.pop_back();
-        continue;
-      }
-      batch_roots.push_back(root);
-      batch_ids.push_back(th.queue.front());
-      th.queue.pop_front();
-      ++idx;
-    }
-    round_span.AddArg("batch", batch_ids.size());
-    round_span.AddArg("live_searches", active_count);
-    if (active_count <= 1) break;  // A popped-but-unapplied head only held
-                                   // queue state; cores/borders were already
-                                   // recorded when it was claimed.
-
-    // Probe the frozen tree for every popped head at once.
-    batch_centers.assign(batch_ids.size(), nullptr);
-    for (std::size_t j = 0; j < batch_ids.size(); ++j) {
-      batch_centers[j] = &GetRecord(batch_ids[j]).pt;
-    }
-    FanOutClusterProbes(batch_centers, &batch_hits);
-
-    // Apply the hit lists to the live state, sequentially in round order.
-    for (std::size_t j = 0;
-         j < batch_ids.size() && active_count > 1; ++j) {
-      const PointId rid = batch_ids[j];
-      ++metrics_.msbfs_expansions;
-      for (PointId qid : batch_hits[j]) {
-        if (qid == rid) continue;
-        auto qit = records_.find(qid);
-        if (qit == records_.end()) continue;
-        Record& q = qit->second;
-        if (q.deleted) continue;
-        const std::uint32_t mine = find_root(batch_roots[j]);
-        if (IsCoreNow(q)) {
-          if (q.visit_serial != serial) {
-            q.visit_serial = serial;
-            q.owner = mine;
-            threads[mine].queue.push_back(qid);
-            threads[mine].cores.push_back(qid);
-          } else {
-            const std::uint32_t other = find_root(q.owner);
-            if (other != mine) merge_threads(mine, other);
-          }
-          continue;
-        }
-        if (q.visit_serial != serial) {
-          q.visit_serial = serial;
-          q.witness = rid;
-          q.witness_serial = update_serial_;
-          threads[mine].borders.push_back(qid);
-        }
-      }
-    }
-  }
-
-  // Survivor selection and border rechecks, exactly as in the interleaved
-  // implementation.
-  for (std::size_t i = 0; i < k; ++i) {
-    if (find_root(static_cast<std::uint32_t>(i)) !=
-            static_cast<std::uint32_t>(i) ||
-        threads[i].cores.empty()) {
-      continue;
-    }
-    *survivor_rep = m_minus[i];
-    for (PointId bp : threads[i].borders) {
-      Record& rb = GetRecord(bp);
-      if (!rb.deleted && !IsCoreNow(rb)) AddRecheck(bp, &rb);
-    }
-    break;
-  }
-  metrics_.msbfs_rounds += rounds;
-  span.AddArg("expansions", metrics_.msbfs_expansions - expansions_before);
-  span.AddArg("components", static_cast<std::uint64_t>(drained) + 1);
-  span.AddArg("rounds", rounds);
-  return drained + 1;
-}
-
-// ---------------------------------------------------------------------------
 // Sequential connectivity check (DISC with MS-BFS disabled)
 // ---------------------------------------------------------------------------
 
@@ -628,10 +401,6 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
 // ---------------------------------------------------------------------------
 
 void Disc::ProcessNeoCores(const std::vector<PointId>& neo_cores) {
-  if (config_.parallel_cluster) {
-    ProcessNeoCoresParallel(neo_cores);
-    return;
-  }
   for (PointId id : neo_cores) {
     Record& rec = GetRecord(id);
     if (rec.group_serial == update_serial_) continue;  // Alg. 2, line 13.
@@ -727,201 +496,6 @@ void Disc::ProcessNeoGroup(PointId seed) {
     // The witness recorded during this traversal keeps any later recheck of
     // this border consistent with the group's final label.
   }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel neo-core phase: speculative discovery, sequential commit
-// ---------------------------------------------------------------------------
-//
-// The sequential loop above interleaves traversal and mutation per group.
-// The parallel path splits them: every neo-core speculatively runs a
-// *read-only* BFS of its component on the pool (NeoDiscoveryWorker — no
-// record, registry, or tree writes at all), then discoveries are committed
-// on the calling thread in seed order. An atomic CAS-min claim table prunes
-// the speculation: a worker that reaches a neo-core already claimed by a
-// smaller seed aborts, because that seed is exploring the same component
-// and — being smaller — can itself never lose a claim race within it, so it
-// always completes. Claims are purely advisory (relaxed ordering suffices):
-// whatever the timing, each component's minimum seed completes its
-// discovery, commits first among the component's seeds, and stamps the
-// members' group_serial so every duplicate is discarded — which is why the
-// committed output is bit-identical to the sequential loop's for any lane
-// count, including the inline zero-worker execution.
-//
-// Probe accounting follows determinism: only committed discoveries' counters
-// merge into the tree's shared statistics (keeping range_searches et al.
-// lane-count-deterministic); discarded work is tallied separately under the
-// speculative_* metrics, which are timing-dependent by nature.
-
-void Disc::ProcessNeoCoresParallel(const std::vector<PointId>& neo_cores) {
-  if (neo_cores.empty()) return;
-  const std::size_t n = neo_cores.size();
-
-  // Claim-table index of each neo-core: its position in the neo_cores list.
-  std::unordered_map<PointId, std::uint32_t> seed_index;
-  seed_index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    seed_index.emplace(neo_cores[i], static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::atomic<std::uint32_t>> claims(n);
-  for (auto& c : claims) {
-    c.store(std::numeric_limits<std::uint32_t>::max(),
-            std::memory_order_relaxed);
-  }
-  std::vector<NeoDiscovery> discoveries(n);
-
-  Timer timer;
-  {
-    RTree::ConcurrentProbeScope probe_scope(tree_);
-    // chunk = 1: one discovery explores a whole component while its
-    // neighbors abort after a single claim check — the worst per-index skew
-    // in the codebase.
-    ParallelFor(
-        execution_pool(), n,
-        [&](std::size_t, std::size_t i) {
-          NeoDiscoveryWorker(static_cast<std::uint32_t>(i), neo_cores,
-                             seed_index, &claims, &discoveries[i]);
-        },
-        /*chunk=*/1);
-  }
-  metrics_.cluster_parallel_ms += timer.ElapsedMillis();
-  metrics_.neo_discoveries += n;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const NeoDiscovery& d = discoveries[i];
-    if (d.aborted || GetRecord(neo_cores[i]).group_serial == update_serial_) {
-      ++metrics_.neo_discoveries_discarded;
-      metrics_.speculative_searches += d.stats.range_searches;
-      continue;
-    }
-    CommitNeoGroup(d);
-    ++metrics_.num_neo_groups;
-  }
-}
-
-void Disc::NeoDiscoveryWorker(
-    std::uint32_t seed_idx, const std::vector<PointId>& neo_cores,
-    const std::unordered_map<PointId, std::uint32_t>& seed_index,
-    std::vector<std::atomic<std::uint32_t>>* claims, NeoDiscovery* out) {
-  obs::TraceSpan span("disc.neo_discovery", obs::TraceLevel::kDetail);
-  span.AddArg("seed", neo_cores[seed_idx]);
-
-  // CAS-min on the claim slot. Returns false when a smaller seed holds it:
-  // that seed is exploring this component and will complete it.
-  auto try_claim = [&](std::uint32_t j) {
-    std::uint32_t cur = (*claims)[j].load(std::memory_order_relaxed);
-    while (seed_idx < cur) {
-      if ((*claims)[j].compare_exchange_weak(cur, seed_idx,
-                                             std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (!try_claim(seed_idx)) {
-    out->aborted = true;
-    span.AddArg("aborted", 1);
-    return;
-  }
-
-  // The sequential traversal's per-branch visit_serial checks amount to one
-  // first-visit filter per point (the branches are mutually exclusive and
-  // share one serial), so a single local set reproduces them — without
-  // writing any record field from a lane.
-  std::unordered_set<PointId> seen;
-  std::deque<PointId> queue;
-  seen.insert(neo_cores[seed_idx]);
-  queue.push_back(neo_cores[seed_idx]);
-  out->group.push_back(neo_cores[seed_idx]);
-  bool lost = false;
-  while (!queue.empty() && !lost) {
-    const PointId rid = queue.front();
-    queue.pop_front();
-    const Point center = GetRecord(rid).pt;
-    tree_.RangeSearch(
-        center, config_.eps,
-        [&](PointId qid, const Point&) {
-          if (lost || qid == rid) return;
-          auto qit = records_.find(qid);
-          if (qit == records_.end()) return;
-          const Record& q = qit->second;
-          if (q.deleted) return;
-          if (!seen.insert(qid).second) return;  // Already first-visited.
-          if (IsCoreNow(q)) {
-            if (IsNeoCore(q)) {
-              // Every neo-core appears in neo_cores (COLLECT touches any
-              // point whose core status flips), so the lookup cannot miss.
-              if (!try_claim(seed_index.find(qid)->second)) {
-                lost = true;
-                return;
-              }
-              queue.push_back(qid);
-              out->group.push_back(qid);
-              return;
-            }
-            out->raw_cids.push_back(q.cid);  // M+ member; canonicalized at
-            return;                          // commit time.
-          }
-          out->borders.emplace_back(qid, rid);
-        },
-        &out->stats);
-  }
-  if (lost) {
-    out->aborted = true;
-    span.AddArg("aborted", 1);
-    return;
-  }
-  span.AddArg("cores", out->group.size());
-  span.AddArg("borders", out->borders.size());
-}
-
-void Disc::CommitNeoGroup(const NeoDiscovery& d) {
-  // Canonicalize the recorded raw handles in encounter order. The registry
-  // holds exactly the unions of all earlier commits — the same state the
-  // sequential algorithm had while traversing this group — so this list
-  // equals the sequential cid_list verbatim.
-  std::vector<ClusterId> cid_list;
-  for (ClusterId raw : d.raw_cids) {
-    const ClusterId c = registry_.Find(raw);
-    if (std::find(cid_list.begin(), cid_list.end(), c) == cid_list.end()) {
-      cid_list.push_back(c);
-    }
-  }
-
-  ClusterId g;
-  if (cid_list.empty()) {
-    g = registry_.NewCluster();  // Emergence.
-    events_.push_back({ClusterEventType::kEmerge, {g}});
-  } else if (cid_list.size() == 1) {
-    g = cid_list[0];  // Expansion.
-    events_.push_back({ClusterEventType::kGrow, {g}});
-  } else {
-    g = cid_list[0];
-    for (std::size_t i = 1; i < cid_list.size(); ++i) {
-      g = registry_.Union(g, cid_list[i]);
-    }
-    ClusterEvent event{ClusterEventType::kMerge, {g}};
-    for (ClusterId c : cid_list) {
-      if (c != g) event.cids.push_back(c);
-    }
-    events_.push_back(std::move(event));
-  }
-  for (PointId mp : d.group) {
-    Record& rm = GetRecord(mp);
-    rm.group_serial = update_serial_;
-    SetLabel(mp, &rm, Category::kCore, g);
-  }
-  for (const auto& [bp, wit] : d.borders) {
-    Record& rb = GetRecord(bp);
-    // The deferred witness write the sequential traversal did inline.
-    rb.witness = wit;
-    rb.witness_serial = update_serial_;
-    if (rb.deleted || IsCoreNow(rb)) continue;
-    SetLabel(bp, &rb, Category::kBorder, g);
-  }
-  // Only committed probe work reaches the shared (deterministic) counters.
-  tree_.stats().MergeFrom(d.stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,18 +20,6 @@ struct DiscMetrics {
   // Disc::ProcessExCores); nonzero only on slides where one cluster split
   // under more than one ex-core group.
   std::uint64_t survivor_reconciliations = 0;
-  // Level-synchronous rounds executed by the strided MS-BFS (zero when
-  // parallel_cluster is off). Deterministic for any lane count.
-  std::uint64_t msbfs_rounds = 0;
-  // Speculative neo-core discoveries launched and the subset whose results
-  // were discarded (aborted by a smaller seed's claim, or completed as a
-  // duplicate of a committed group). The discard count — and the probe work
-  // charged to speculative_searches below — depends on lane timing, so these
-  // three counters are NOT lane-count-deterministic and are deliberately
-  // excluded from every exported/serialized metric surface.
-  std::uint64_t neo_discoveries = 0;
-  std::uint64_t neo_discoveries_discarded = 0;
-  std::uint64_t speculative_searches = 0;
 
   // Index-probe drill-down, aggregated from RTreeStats over the update:
   // how much tree the probes actually walked, and how much Algorithm 4's
@@ -49,10 +37,6 @@ struct DiscMetrics {
   // Time inside COLLECT's parallel probe fan-out (contained in collect_ms)
   // and the number of lanes the fan-out ran on (1 = sequential path).
   double collect_parallel_ms = 0.0;
-  // Time inside CLUSTER's parallel regions: strided MS-BFS probe rounds and
-  // the speculative neo-discovery fan-out (contained in ex_phase_ms /
-  // neo_phase_ms).
-  double cluster_parallel_ms = 0.0;
   std::uint64_t threads_used = 1;
 
   void Reset() { *this = DiscMetrics{}; }

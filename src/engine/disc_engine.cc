@@ -465,8 +465,10 @@ Status DiscEngine::SaveSession(const Session& session,
   WritePod(out, static_cast<std::uint8_t>(c.use_border_witness));
   WritePod(out, static_cast<std::int32_t>(c.rtree_max_entries));
   WritePod(out, static_cast<std::uint8_t>(c.rtree_split_policy));
-  WritePod(out, static_cast<std::uint8_t>(c.parallel_cluster));
-  WritePod(out, c.parallel_cluster_min_batch);
+  // Five reserved bytes, written as zero. Spill files from before the
+  // single CLUSTER path stored two execution knobs here; Open skips them.
+  WritePod(out, static_cast<std::uint8_t>(0));
+  WritePod(out, static_cast<std::uint32_t>(0));
   if (!out) {
     return Status::Error("session \"" + session.name +
                          "\": write failed on the spill header");
@@ -637,15 +639,16 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     ClustererSpec& spec = so.spec;
     std::uint64_t window_size = 0, stride = 0, slides_run = 0;
     std::uint8_t use_msbfs = 0, use_epoch = 0, use_witness = 0;
-    std::uint8_t split_policy = 0, parallel_cluster = 0;
+    std::uint8_t split_policy = 0, reserved8 = 0;
+    std::uint32_t reserved32 = 0;
     std::int32_t max_entries = 0;
     if (!ReadPod(in, &spec.dims) || !ReadPod(in, &window_size) ||
         !ReadPod(in, &stride) || !ReadPod(in, &slides_run) ||
         !ReadPod(in, &spec.disc.eps) || !ReadPod(in, &spec.disc.tau) ||
         !ReadPod(in, &use_msbfs) || !ReadPod(in, &use_epoch) ||
         !ReadPod(in, &use_witness) || !ReadPod(in, &max_entries) ||
-        !ReadPod(in, &split_policy) || !ReadPod(in, &parallel_cluster) ||
-        !ReadPod(in, &spec.disc.parallel_cluster_min_batch)) {
+        !ReadPod(in, &split_policy) || !ReadPod(in, &reserved8) ||
+        !ReadPod(in, &reserved32)) {
       return fail("corrupt session header in " + path);
     }
     spec.window_size = window_size;
@@ -677,7 +680,6 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     spec.disc.use_border_witness = use_witness != 0;
     spec.disc.rtree_max_entries = max_entries;
     spec.disc.rtree_split_policy = static_cast<SplitPolicy>(split_policy);
-    spec.disc.parallel_cluster = parallel_cluster != 0;
     spec.disc.num_threads = 1;
 
     Status make_error;

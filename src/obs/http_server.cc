@@ -125,6 +125,7 @@ void HttpServer::Impl::HandleConnection(int fd) const {
       break;
     }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;  // A signal, not a dead peer.
     if (n <= 0) {
       // Timeout, reset, or a client that never finished the head: no
       // response owed unless we already know the head is hopeless.
@@ -400,6 +401,7 @@ std::string HttpGet(std::uint16_t port, const std::string& target,
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     raw.append(buf, static_cast<std::size_t>(n));
   }

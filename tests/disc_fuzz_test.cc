@@ -66,7 +66,7 @@ class PolylineStream : public StreamSource {
 // in num_threads. Beyond matching the DBSCAN oracle, the twin must stay
 // byte-identical to the single-threaded instance — the configs agree on
 // everything semantic, so any divergence is a determinism bug in the
-// parallel COLLECT/CLUSTER machinery.
+// parallel COLLECT machinery.
 void ExpectTwinIdentical(const Disc& base, const Disc& twin,
                          std::uint64_t seed, int slide) {
   const ClusteringSnapshot a = base.Snapshot();
@@ -87,7 +87,6 @@ TEST_P(DiscFuzzTest, PolylineChainsStayExact) {
   // Alternate optimization settings across seeds for breadth.
   config.use_msbfs = (seed % 2) == 0;
   config.use_epoch_probing = (seed % 3) != 0;
-  config.parallel_cluster = (seed % 4) < 2;
   Disc disc(2, config);
   DiscConfig par_config = config;
   par_config.num_threads = 4;

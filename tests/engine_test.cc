@@ -533,6 +533,75 @@ TEST(EngineRecoveryTest, OpenRejectsDegenerateGeometry) {
   std::filesystem::remove_all(options.spill_dir);
 }
 
+TEST(EngineRecoveryTest, OpenIgnoresReservedHeaderBytes) {
+  // Spill files written before CLUSTER had a single path store two
+  // execution knobs (a u8 flag and a u32 batch threshold) where the header
+  // now keeps five reserved bytes. Such a spill dir must still open and
+  // resume clustering-equal to an uninterrupted run.
+  constexpr std::size_t kTotal = 10;
+  constexpr std::size_t kBeforeKill = 5;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.spill_dir = SpillDir("reserved");
+  const std::vector<std::vector<Point>> slides = MakeSlides(9300, kTotal);
+  {
+    DiscEngine engine(options);
+    ASSERT_TRUE(engine.CreateSession("old", TestSession()).ok());
+    for (std::size_t k = 0; k < kBeforeKill; ++k) {
+      ASSERT_TRUE(engine.FeedSlide("old", slides[k]).ok());
+    }
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+  // Offset of the reserved bytes: magic u32, (u64 length + bytes) for name
+  // and method, dims u32, window_size / stride / slides_run u64, eps f64,
+  // tau u32, three option u8s, rtree_max_entries i32, split policy u8.
+  const std::string name = "old", method = "DISC";
+  const std::streamoff reserved_offset =
+      4 + (8 + static_cast<std::streamoff>(name.size())) +
+      (8 + static_cast<std::streamoff>(method.size())) + 4 + 8 + 8 + 8 + 8 +
+      4 + 3 + 4 + 1;
+  {
+    std::fstream file(options.spill_dir + "/old.session",
+                      std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.is_open());
+    file.seekg(reserved_offset);
+    char written[5] = {1, 1, 1, 1, 1};
+    file.read(written, sizeof(written));
+    ASSERT_TRUE(static_cast<bool>(file));
+    for (char byte : written) EXPECT_EQ(byte, 0) << "reserved byte not zero";
+    // The values the old default configuration wrote: flag 1, threshold 2.
+    const std::uint8_t old_flag = 1;
+    const std::uint32_t old_threshold = 2;
+    file.seekp(reserved_offset);
+    file.write(reinterpret_cast<const char*>(&old_flag), sizeof(old_flag));
+    file.write(reinterpret_cast<const char*>(&old_threshold),
+               sizeof(old_threshold));
+    ASSERT_TRUE(static_cast<bool>(file));
+  }
+  Status error;
+  std::unique_ptr<DiscEngine> engine = DiscEngine::Open(options, &error);
+  ASSERT_NE(engine, nullptr) << error.message();
+  EXPECT_EQ(engine->SlidesRun("old"), kBeforeKill);
+  for (std::size_t k = kBeforeKill; k < kTotal; ++k) {
+    ASSERT_TRUE(engine->FeedSlide("old", slides[k]).ok());
+  }
+  engine->Drain();
+  EXPECT_EQ(engine->SlidesRun("old"), kTotal);
+
+  Disc uninterrupted(2, TestConfig());
+  CountBasedWindow window(kWindow, kStride);
+  for (const std::vector<Point>& slide : slides) {
+    WindowDelta delta = window.Advance(slide);
+    uninterrupted.Update(delta.incoming, delta.outgoing);
+  }
+  const Disc& resumed = EngineDisc(*engine, "old");
+  const EquivalenceResult eq =
+      CheckSameClustering(resumed.Snapshot(), uninterrupted.Snapshot(),
+                          resumed.WindowContents(), TestConfig().eps);
+  EXPECT_TRUE(eq.ok) << eq.error;
+  std::filesystem::remove_all(options.spill_dir);
+}
+
 TEST(EngineRecoveryTest, OpenFailsWithoutManifest) {
   EngineOptions options;
   options.spill_dir = SpillDir("absent");

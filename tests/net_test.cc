@@ -16,9 +16,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -818,6 +821,48 @@ TEST(IngestTimeoutTest, StalledMidFramePeerIsDisconnected) {
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_TRUE(client.Ping().ok());
   server.Stop();
+}
+
+std::atomic<int> g_sigusr1_hits{0};
+
+void CountSigusr1(int) {
+  g_sigusr1_hits.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(SocketUtilTest, RecvFullyRetriesAfterSignalInterruption) {
+  // A handler installed without SA_RESTART makes a blocked recv fail with
+  // EINTR. That is a signal (a SIGSTOP/SIGCONT cycle, a profiler tick), not
+  // a dead peer: RecvFully must keep reading and return the full count.
+  struct sigaction action {};
+  action.sa_handler = CountSigusr1;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // No SA_RESTART.
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  g_sigusr1_hits.store(0);
+
+  char buf[16] = {};
+  std::size_t got = 0;
+  std::thread reader([&]() { got = RecvFully(fds[0], buf, sizeof(buf)); });
+  // Let the reader block in recv, then interrupt it a few times.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(::pthread_kill(reader.native_handle(), SIGUSR1), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const char payload[16] = {'i', 'n', 't', 'e', 'r', 'r', 'u', 'p',
+                            't', 'e', 'd', '-', 'r', 'e', 'a', 'd'};
+  ASSERT_TRUE(SendAllBytes(fds[1], payload, sizeof(payload)));
+  reader.join();
+  EXPECT_GE(g_sigusr1_hits.load(), 1);
+  EXPECT_EQ(got, sizeof(payload));
+  EXPECT_EQ(std::string(buf, sizeof(buf)),
+            std::string(payload, sizeof(payload)));
+  ::close(fds[0]);
+  ::close(fds[1]);
+  ::sigaction(SIGUSR1, &previous, nullptr);
 }
 
 TEST(IngestOverloadTest, QueueOverflowAnswersBusyFrame) {

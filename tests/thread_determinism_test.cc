@@ -1,11 +1,10 @@
-// Determinism layer for the parallel CLUSTER stage: snapshots, checkpoints,
-// deltas, events, and the deterministic metrics must be byte-identical for
-// every DiscConfig::num_threads value — on every synthetic generator and on
+// Lane-count determinism of a full Update: snapshots, checkpoints, deltas,
+// events, and the deterministic metrics must be byte-identical for every
+// DiscConfig::num_threads value — on every synthetic generator and on
 // adversarial slides engineered to force multi-starter MS-BFS front meets
-// and neo-core merge storms. Covers both parallel_cluster modes (the
-// parallel-structure CLUSTER and the legacy interleaved one; each must be
-// internally thread-count-deterministic, though the two modes may assign
-// cluster ids differently from each other).
+// and neo-core merge storms. Only COLLECT fans out across lanes; CLUSTER
+// runs on the calling thread, so these tests pin that the fan-out leaves no
+// trace in what CLUSTER sees.
 
 #include <cstdint>
 #include <memory>
@@ -27,7 +26,7 @@ namespace {
 // parallel_test.cc's helper this does NOT sort the delta vectors: emission
 // ORDER is part of the determinism contract here. The metrics suffix pins
 // the probe-accounting discipline — only deterministic counters appear
-// (speculative_* and the *_ms timings are timing-dependent by design).
+// (the *_ms timings are timing-dependent by design).
 std::string CanonicalState(const Disc& disc, const UpdateDelta& delta) {
   std::ostringstream os;
   const ClusteringSnapshot snap = disc.Snapshot();  // Emitted id-sorted.
@@ -52,10 +51,9 @@ std::string CanonicalState(const Disc& disc, const UpdateDelta& delta) {
   os << '|' << m.range_searches << ',' << m.collect_searches << ','
      << m.cluster_searches << ',' << m.num_ex_cores << ',' << m.num_neo_cores
      << ',' << m.num_ex_groups << ',' << m.num_neo_groups << ','
-     << m.msbfs_expansions << ',' << m.msbfs_rounds << ','
-     << m.survivor_reconciliations << ',' << m.nodes_visited << ','
-     << m.entries_checked << ',' << m.leaf_entries_tested << ','
-     << m.epoch_pruned;
+     << m.msbfs_expansions << ',' << m.survivor_reconciliations << ','
+     << m.nodes_visited << ',' << m.entries_checked << ','
+     << m.leaf_entries_tested << ',' << m.epoch_pruned;
   return os.str();
 }
 
@@ -72,7 +70,7 @@ std::string CheckpointBytes(const Disc& disc) {
 struct SweepCase {
   std::string name;
   int generator;  // 0: blobs, 1: drifting blobs, 2: maze, 3: uniform.
-  bool parallel_cluster;
+  bool use_msbfs;
 };
 
 std::unique_ptr<StreamSource> MakeSource(int generator, std::uint64_t seed) {
@@ -125,7 +123,7 @@ PipelineRun RunPipeline(const SweepCase& sc, std::uint32_t num_threads,
   config.eps = 0.4;
   config.tau = 5;
   config.num_threads = num_threads;
-  config.parallel_cluster = sc.parallel_cluster;
+  config.use_msbfs = sc.use_msbfs;
   Disc disc(2, config);
   CountBasedWindow window(600, 100);
   PipelineRun run;
@@ -158,15 +156,17 @@ TEST_P(ParallelClusterSweepTest, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// Both split checks run on every generator: `par` is MS-BFS (the starters'
+// searches expand side by side), `seq` the repeated single-source BFS.
 std::vector<SweepCase> MakeSweepCases() {
   std::vector<SweepCase> cases;
   const char* gens[] = {"blobs", "drifting", "maze", "uniform"};
   for (int gen = 0; gen <= 3; ++gen) {
-    for (bool parallel : {true, false}) {
+    for (bool msbfs : {true, false}) {
       SweepCase sc;
       sc.generator = gen;
-      sc.parallel_cluster = parallel;
-      sc.name = std::string(gens[gen]) + (parallel ? "_par" : "_seq");
+      sc.use_msbfs = msbfs;
+      sc.name = std::string(gens[gen]) + (msbfs ? "_par" : "_seq");
       cases.push_back(sc);
     }
   }
@@ -194,12 +194,11 @@ class BridgeStorm {
   static constexpr int kClumps = 30;
   static constexpr int kPointsPerClump = 5;
 
-  explicit BridgeStorm(std::uint32_t num_threads, bool parallel_cluster) {
+  explicit BridgeStorm(std::uint32_t num_threads) {
     DiscConfig config;
     config.eps = 0.3;
     config.tau = 3;
     config.num_threads = num_threads;
-    config.parallel_cluster = parallel_cluster;
     disc_ = std::make_unique<Disc>(2, config);
   }
 
@@ -262,18 +261,15 @@ class BridgeStorm {
 };
 
 TEST(BridgeStormTest, ShatterAndRemergeIsThreadCountDeterministic) {
-  for (bool parallel : {true, false}) {
-    BridgeStorm base_storm(1, parallel);
-    const std::vector<std::string> baseline = base_storm.Run();
-    for (std::uint32_t threads : {2u, 4u, 8u}) {
-      BridgeStorm storm(threads, parallel);
-      const std::vector<std::string> trace = storm.Run();
-      ASSERT_EQ(trace.size(), baseline.size());
-      for (std::size_t s = 0; s < trace.size(); ++s) {
-        ASSERT_EQ(trace[s], baseline[s])
-            << "parallel_cluster=" << parallel << " threads " << threads
-            << " step " << s;
-      }
+  BridgeStorm base_storm(1);
+  const std::vector<std::string> baseline = base_storm.Run();
+  for (std::uint32_t threads : {2u, 4u, 8u}) {
+    BridgeStorm storm(threads);
+    const std::vector<std::string> trace = storm.Run();
+    ASSERT_EQ(trace.size(), baseline.size());
+    for (std::size_t s = 0; s < trace.size(); ++s) {
+      ASSERT_EQ(trace[s], baseline[s])
+          << "threads " << threads << " step " << s;
     }
   }
 }
@@ -283,7 +279,7 @@ TEST(BridgeStormTest, ShatterActuallyExercisesMultiStarterMsBfs) {
   // run a split (several MS-BFS components) and the re-bridge slide a merge.
   bool saw_split = false;
   bool saw_merge = false;
-  BridgeStorm probe(4, /*parallel_cluster=*/true);
+  BridgeStorm probe(4);
   std::vector<std::vector<Point>> clump_pts(BridgeStorm::kClumps);
   std::vector<Point> incoming;
   for (int c = 0; c < BridgeStorm::kClumps; ++c) {
@@ -301,7 +297,7 @@ TEST(BridgeStormTest, ShatterActuallyExercisesMultiStarterMsBfs) {
     if (ev.type == ClusterEventType::kSplit) saw_split = true;
   }
   EXPECT_TRUE(saw_split) << "shatter slide produced no split";
-  EXPECT_GT(disc.last_metrics().msbfs_rounds, 0u);
+  EXPECT_GT(disc.last_metrics().msbfs_expansions, 0u);
   incoming.clear();
   for (int c = 0; c < BridgeStorm::kClumps; c += 3) {
     const std::vector<Point> fresh = probe.MakeClump(c);
@@ -312,32 +308,6 @@ TEST(BridgeStormTest, ShatterActuallyExercisesMultiStarterMsBfs) {
     if (ev.type == ClusterEventType::kMerge) saw_merge = true;
   }
   EXPECT_TRUE(saw_merge) << "re-bridge slide produced no merge";
-}
-
-// ---------------------------------------------------------------------------
-// Execution knobs must not be semantic
-// ---------------------------------------------------------------------------
-
-TEST(ParallelClusterKnobTest, MinBatchThresholdDoesNotChangeOutput) {
-  auto run = [](std::uint32_t min_batch) {
-    auto source = MakeSource(/*generator=*/1, /*seed=*/7);
-    DiscConfig config;
-    config.eps = 0.4;
-    config.tau = 5;
-    config.num_threads = 4;
-    config.parallel_cluster_min_batch = min_batch;
-    Disc disc(2, config);
-    CountBasedWindow window(500, 100);
-    std::string all;
-    for (int s = 0; s < 10; ++s) {
-      WindowDelta d = window.Advance(source->NextPoints(100));
-      all += CanonicalState(disc, disc.Update(d.incoming, d.outgoing));
-    }
-    return all + CheckpointBytes(disc);
-  };
-  const std::string inline_probes = run(1u << 30);  // Never uses the pool.
-  const std::string pooled_probes = run(1);         // Always uses the pool.
-  ASSERT_EQ(inline_probes, pooled_probes);
 }
 
 }  // namespace

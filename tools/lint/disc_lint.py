@@ -35,10 +35,8 @@ precision/recall notes):
                       rtree.*, and NewTick / EpochRangeSearch /
                       SearchMarking must never appear in the parallel
                       stages — COLLECT (Collect / FanOutProbes), the
-                      parallel CLUSTER entry points (MsBfsStrided /
-                      FanOutClusterProbes / ProcessNeoCoresParallel /
-                      NeoDiscoveryWorker), the thread-pool lane entry
-                      points (DrainBatch / WorkerLoop), the engine
+                      thread-pool lane entry points
+                      (DrainBatch / WorkerLoop), the engine
                       scheduling stages (Drain / DrainLocked /
                       ExecuteSessionSlide), or any ParallelFor argument.
 
@@ -861,16 +859,15 @@ def check_label_choke_point(src, index):
 # Rule: epoch-confinement
 # ---------------------------------------------------------------------------
 
-# The parallel stages: COLLECT fan-out, the parallel CLUSTER entry points
-# (tick-free concurrent probes), the thread-pool lane entry points
+# The parallel stages: COLLECT fan-out (tick-free concurrent probes), the
+# thread-pool lane entry points
 # (everything a worker thread executes), and the engine scheduling stages
 # (Drain/DrainLocked dispatch session slides across lanes;
 # ExecuteSessionSlide is the per-lane slide body — epoch writes belong to
 # the probing layer underneath, never to the scheduler).
 EPOCH_STAGES = {
-    "Collect", "FanOutProbes", "MsBfsStrided", "FanOutClusterProbes",
-    "ProcessNeoCoresParallel", "NeoDiscoveryWorker", "DrainBatch",
-    "WorkerLoop", "Drain", "DrainLocked", "ExecuteSessionSlide",
+    "Collect", "FanOutProbes", "DrainBatch", "WorkerLoop", "Drain",
+    "DrainLocked", "ExecuteSessionSlide",
 }
 
 EPOCH_CALLS = {"NewTick", "EpochRangeSearch", "SearchMarking"}
